@@ -52,7 +52,7 @@ pub struct Args {
     pub dd_config: DdConfig,
     /// Wall-clock budget for the run (`--deadline`, seconds).
     pub deadline: Option<Duration>,
-    /// Worker threads (`--threads`; 1 = sequential, 0 = all cores).
+    /// Shot-sampling worker threads (`--threads`; 0 = all cores).
     pub threads: u32,
     /// Write a checkpoint every this many executed ops (0 = never).
     pub checkpoint_every: u64,
@@ -120,10 +120,10 @@ OPTIONS:
                              (bitwise-identical results, for ablation)
     --gc-threshold N         live-node count that triggers garbage
                              collection [default: 250000]
-    --threads N              worker threads for the DD kernels and shot
-                             sampling; 1 = strictly sequential (bitwise
-                             identical to the single-threaded engine),
-                             0 = all cores [default: 1]
+    --threads N              worker threads for shot sampling; the DD
+                             operations run sequentially, so results are
+                             identical at every count; 0 = all cores
+                             [default: 1]
     --help                   show this text
 
 RESOURCE LIMITS:

@@ -106,13 +106,12 @@ pub struct SimOptions {
     /// start. `None` disables the deadline. On expiry the run unwinds with
     /// [`SimError::DeadlineExceeded`]; a resumed run gets a fresh window.
     pub deadline: Option<Duration>,
-    /// Worker threads for the DD kernels and shot sampling. `1` (the
-    /// default) runs strictly sequentially — bitwise identical to the
-    /// pre-threading engine. `0` uses all available cores. At `≥ 2` the
-    /// simulator owns a work-stealing pool: large multiplications fork
-    /// their quadrant products and [`Simulator::sample_counts`] spreads
-    /// shots across lanes (threaded amplitudes agree with sequential
-    /// within the weight-unification tolerance; see DESIGN.md §12).
+    /// Worker threads for shot sampling and noise trajectories. `1` (the
+    /// default) builds no pool; `0` uses all available cores. At `≥ 2` the
+    /// simulator owns a work-stealing pool on which
+    /// [`Simulator::sample_counts`] spreads shots across lanes. The DD
+    /// operations run sequentially at every setting, so amplitudes and
+    /// run statistics do not depend on it (see DESIGN.md §12).
     pub threads: u32,
     /// Dynamic variable-reordering policy (see [`ReorderMode`]).
     /// Independent of this setting, the degradation ladder sifts once
@@ -233,9 +232,6 @@ pub struct Simulator {
     // Fingerprint of the circuit the current/last run executed.
     active_circuit_hash: u64,
     stats: RunStats,
-    // The work-stealing pool behind `SimOptions::threads ≥ 2`; shared with
-    // the DD manager (fork-join kernels) and the shot-sampling loop.
-    pool: Option<Arc<ThreadPool>>,
     // Cooperative suspend request, observed at op boundaries in `run_from`
     // (checkpoint-then-park, see `set_suspend_token`). Kept separate from
     // the manager's cancel token: cancellation unwinds mid-multiply and is
@@ -260,9 +256,8 @@ impl Simulator {
     /// Panics if `n` is 0 or greater than 63.
     pub fn with_options(n: u32, options: SimOptions) -> Self {
         let mut dd = DdManager::with_config(options.dd_config);
-        let pool = build_pool(options.threads);
-        if let Some(pool) = &pool {
-            dd.set_par(Par::Threaded(Arc::clone(pool)));
+        if let Some(pool) = build_pool(options.threads) {
+            dd.set_par(Par::Threaded(pool));
         }
         let state = dd.vec_zero_state(n);
         dd.inc_ref_vec(state);
@@ -284,7 +279,6 @@ impl Simulator {
             ops_executed: 0,
             active_circuit_hash: 0,
             stats: RunStats::default(),
-            pool,
             suspend: None,
         }
     }
@@ -386,7 +380,8 @@ impl Simulator {
     /// never on worker scheduling.
     pub fn sample_counts(&mut self, shots: u32) -> FxHashMap<u64, u32> {
         if shots >= 2 {
-            if let Some(pool) = self.pool.clone() {
+            if let Par::Threaded(pool) = self.dd.par() {
+                let pool = Arc::clone(pool);
                 return self.sample_counts_par(shots, &pool);
             }
         }
@@ -553,17 +548,16 @@ impl Simulator {
         snap.save(path)?;
         // Reload in place (see above). The governor's deadline and cancel
         // token live on the manager and must carry over unchanged, as must
-        // the execution policy (the restored manager defaults to `Seq`).
+        // the pool handle (the restored manager defaults to `Seq`).
         let deadline = self.dd.deadline();
         let cancel = self.dd.cancel_token();
+        let par = self.dd.par().clone();
         let (dd, state) = snap.restore(self.options.dd_config)?;
         self.dd = dd;
         self.state = state;
         self.dd.set_deadline(deadline);
         self.dd.set_cancel_token(cancel);
-        if let Some(pool) = &self.pool {
-            self.dd.set_par(Par::Threaded(Arc::clone(pool)));
-        }
+        self.dd.set_par(par);
         self.cached_state_nodes = self.dd.vec_node_count(self.state);
         self.sift_baseline = self.cached_state_nodes.max(1);
         self.stats.checkpoints_written += 1;
@@ -608,9 +602,8 @@ impl Simulator {
             )));
         }
         let (mut dd, state) = snap.restore(options.dd_config)?;
-        let pool = build_pool(options.threads);
-        if let Some(pool) = &pool {
-            dd.set_par(Par::Threaded(Arc::clone(pool)));
+        if let Some(pool) = build_pool(options.threads) {
+            dd.set_par(Par::Threaded(pool));
         }
         let cached_state_nodes = dd.vec_node_count(state);
         let sim = Simulator {
@@ -631,7 +624,6 @@ impl Simulator {
             ops_executed: snap.next_op,
             active_circuit_hash: snap.circuit_hash,
             stats: RunStats::default(),
-            pool,
             suspend: None,
         };
         Ok((sim, snap.next_op))

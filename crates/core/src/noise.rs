@@ -160,11 +160,10 @@ pub fn run_noisy_ensemble_threaded(
 /// fault injection), reorder mode — with only the seed overridden to
 /// `template.seed + t`. `template.threads` parallelizes the *trajectory*
 /// loop on a work-stealing pool (`0` = all cores, `≤ 1` = sequential);
-/// each inner simulator runs single-threaded, since the trajectory level
-/// is where the parallelism pays. Every trajectory's circuit, run, and
-/// sample derive from its seed alone, so the aggregated counts are
-/// identical at every thread count — parallelism changes wall-clock time,
-/// never the result.
+/// each inner simulator gets `threads: 1` and owns no pool of its own.
+/// Every trajectory's circuit, run, and sample derive from its seed
+/// alone, so the aggregated counts are identical at every thread count —
+/// parallelism changes wall-clock time, never the result.
 ///
 /// `template.deadline` bounds the *whole ensemble*: the budget is
 /// converted to an absolute instant up front and each trajectory gets

@@ -498,3 +498,29 @@ fn gate_cost_does_not_scale_with_untouched_qubits() {
     let wide = recursions_for(20);
     assert_eq!(narrow, wide, "apply cost must not scale with width");
 }
+
+#[test]
+fn thread_count_does_not_change_multiplication_counters() {
+    // The pool behind `threads` only parallelizes shot sampling and
+    // trajectories; the DD operations run the same sequential code. So a
+    // 16-qubit supremacy run under max-size(256) must report the same
+    // MxV, MxM and recursion counts at two threads as at one.
+    let c = supremacy_circuit(SupremacyInstance::new(4, 4, 12, 1));
+    let counters = |threads: u32| {
+        let (_, stats) = simulate(
+            &c,
+            SimOptions {
+                strategy: Strategy::MaxSize { s_max: 256 },
+                threads,
+                ..SimOptions::default()
+            },
+        )
+        .expect("run");
+        (
+            stats.mat_vec_mults,
+            stats.mat_mat_mults,
+            stats.mult_recursions,
+        )
+    };
+    assert_eq!(counters(2), counters(1));
+}

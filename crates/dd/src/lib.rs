@@ -52,7 +52,6 @@ mod manager;
 mod matrix;
 mod measure;
 mod ops;
-mod par;
 pub mod pool;
 pub mod reference;
 mod reorder;
@@ -67,7 +66,6 @@ pub use fault::FaultKind;
 pub use hash::{fx_hash, FxHashMap, FxHasher};
 pub use manager::{DdConfig, DdManager, DdStats};
 pub use matrix::{Control, ControlPolarity, Matrix2};
-pub use par::Par;
-pub use pool::ThreadPool;
+pub use pool::{Par, ThreadPool};
 pub use reorder::{ReorderStats, VarOrder};
 pub use snapshot::{fnv1a, sync_parent_dir, Snapshot, SnapshotError};

@@ -252,22 +252,8 @@ impl DdManager {
             "matrix and vector levels differ"
         );
         self.stats.mat_vec_mults += 1;
-        // Parallel dispatch: under `Par::Threaded` with a real pool and a
-        // large enough operand, fork the top quadrant products (see
-        // `par.rs`). `Par::Seq` never takes this branch.
-        if let Some(pool) = self.par_pool(self.mat_level(m)) {
-            return self.mat_vec_mul_par(m, v, &pool);
-        }
-        self.mat_vec_mul_seq(m, v)
-    }
-
-    /// The strictly sequential `M × v` kernel: one `is_governed` read
-    /// decides which monomorphized recursion runs the whole operation.
-    /// Also the fallback for fork-join tasks too small to split.
-    pub(crate) fn mat_vec_mul_seq(&mut self, m: MatEdge, v: VecEdge) -> Result<VecEdge, DdError> {
-        if m.is_zero() || v.is_zero() {
-            return Ok(VecEdge::ZERO);
-        }
+        // One `is_governed` read decides which monomorphized recursion
+        // runs the whole operation.
         if self.is_governed() {
             self.charge()?;
             self.mat_vec_inner::<Governed>(m, v)
@@ -388,18 +374,6 @@ impl DdManager {
             "matrix operand levels differ"
         );
         self.stats.mat_mat_mults += 1;
-        if let Some(pool) = self.par_pool(self.mat_level(a)) {
-            return self.mat_mat_mul_par(a, b, &pool);
-        }
-        self.mat_mat_mul_seq(a, b)
-    }
-
-    /// The strictly sequential `A × B` kernel (see
-    /// [`mat_vec_mul_seq`](Self::mat_vec_mul_seq)).
-    pub(crate) fn mat_mat_mul_seq(&mut self, a: MatEdge, b: MatEdge) -> Result<MatEdge, DdError> {
-        if a.is_zero() || b.is_zero() {
-            return Ok(MatEdge::ZERO);
-        }
         if self.is_governed() {
             self.charge()?;
             self.mat_mat_inner::<Governed>(a, b)

@@ -1,11 +1,12 @@
 //! A small, dependency-free work-stealing thread pool.
 //!
 //! This is the execution substrate for every parallel surface in the
-//! workspace: the fork-join multiplication kernels (`par.rs`), the
-//! engine's shot-sampling and noise-trajectory loops, and the fuzz
-//! harness's config-lattice sweep. The design follows the faer-rs idiom
-//! of passing a parallelism *capability* down into kernels (see [`Par`] in
-//! `par.rs`) rather than spawning threads at use sites:
+//! workspace: the engine's shot-sampling and noise-trajectory loops, the
+//! fuzz harness's config-lattice sweep, and the simulation server's worker
+//! lanes. Each of those runs whole independent jobs on a lane; the DD
+//! kernels themselves always run sequentially (DESIGN.md §12). The design
+//! follows the faer-rs idiom of passing a parallelism *capability* down
+//! (see [`Par`]) rather than spawning threads at use sites:
 //!
 //! * one pool is created per simulator / harness and reused for its whole
 //!   lifetime — workers park on a condvar between batches, so an idle pool
@@ -27,6 +28,21 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// The parallelism capability a [`DdManager`](crate::DdManager) carries,
+/// in the style of faer-rs's `Par` parameter. The multiplication kernels
+/// never read it: they run the same sequential code under either variant,
+/// so diagrams and statistics do not depend on it. Callers that fan whole
+/// jobs over one diagram (the engine's shot sampler) take their pool from
+/// here.
+#[derive(Clone, Debug, Default)]
+pub enum Par {
+    /// No pool (the default).
+    #[default]
+    Seq,
+    /// A shared pool for job-level parallelism.
+    Threaded(Arc<ThreadPool>),
+}
 
 /// A boxed unit of work. Lifetimes are erased by [`ThreadPool::run_batch`],
 /// which guarantees the whole batch has finished before it returns.

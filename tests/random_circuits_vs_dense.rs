@@ -336,131 +336,60 @@ fn simd_on_and_off_runs_are_bitwise_identical() {
 
 #[test]
 fn explicit_single_thread_is_bitwise_identical_to_default() {
-    // `threads: 1` is the documented sequential contract: no pool is
-    // built, the `Par::Seq` kernels run, and the results — amplitudes AND
-    // machine-independent statistics — must be bit-for-bit what the
-    // default options produce. This pins the promise that turning the
-    // threading knob to 1 can never change behavior.
+    // The DD operations run the same sequential code at every thread
+    // count; a pool only parallelizes shot sampling and trajectories. So
+    // `threads: 1, 2, 3` must all reproduce the default options bit for
+    // bit: amplitudes AND machine-independent statistics. The 6-qubit
+    // circuits are wide enough for a thread-dependent split of a
+    // multiplication to show, and the strategies cover both MxV- and
+    // MxM-heavy runs.
+    let shape = |s: &ddsim_repro::core::RunStats| {
+        (
+            s.elementary_gates,
+            s.mat_vec_mults,
+            s.mat_mat_mults,
+            s.identity_skips,
+            s.specialized_applies,
+            s.mult_recursions,
+            s.add_recursions,
+            s.peak_state_nodes,
+            s.peak_matrix_nodes,
+            s.final_state_nodes,
+            s.gc_runs,
+        )
+    };
     for seed in 0..4u64 {
-        for strategy in [Strategy::Sequential, Strategy::KOperations { k: 5 }] {
-            let circuit = random_circuit(6, 60, seed);
-            let single = SimOptions {
-                strategy,
-                threads: 1,
-                ..SimOptions::default()
-            };
-            let (sim_d, stats_d) =
-                simulate(&circuit, SimOptions::with_strategy(strategy)).expect("default run");
-            let (sim_s, stats_s) = simulate(&circuit, single).expect("threads=1 run");
-            for i in 0..(1u64 << 6) {
-                let a = sim_d.amplitude(i);
-                let b = sim_s.amplitude(i);
-                assert_eq!(
-                    (a.re.to_bits(), a.im.to_bits()),
-                    (b.re.to_bits(), b.im.to_bits()),
-                    "seed {seed}, {strategy}, amplitude {i}: {a} vs {b}"
-                );
-            }
-            let shape = |s: &ddsim_repro::core::RunStats| {
-                (
-                    s.elementary_gates,
-                    s.mat_vec_mults,
-                    s.mat_mat_mults,
-                    s.identity_skips,
-                    s.specialized_applies,
-                    s.mult_recursions,
-                    s.add_recursions,
-                    s.peak_state_nodes,
-                    s.peak_matrix_nodes,
-                    s.final_state_nodes,
-                    s.gc_runs,
-                )
-            };
-            assert_eq!(
-                shape(&stats_d),
-                shape(&stats_s),
-                "seed {seed}, {strategy}: threads=1 changed the run statistics"
-            );
-        }
-    }
-}
-
-#[test]
-fn threaded_runs_match_dense_on_random_circuits() {
-    // A 3-lane pool on 6-qubit circuits (top level ≥ the fork cutoff, so
-    // the fork-join kernels genuinely engage) must agree with the dense
-    // reference under every combining strategy.
-    for seed in 0..4 {
         for strategy in [
             Strategy::Sequential,
             Strategy::KOperations { k: 5 },
             Strategy::MaxSize { s_max: 48 },
             Strategy::adaptive(),
         ] {
-            let options = SimOptions {
-                strategy,
-                threads: 3,
-                ..SimOptions::default()
-            };
-            check_agreement_with(6, 60, seed, options);
-        }
-    }
-}
-
-#[test]
-fn threaded_and_sequential_agree_to_normalization_tolerance() {
-    // Threaded results are tolerance-equal to sequential, not bitwise:
-    // worker managers intern complex values in a different order, so
-    // representatives within a tolerance bucket can differ by ~1e-15.
-    // The agreement bound here (1e-9) is far tighter than the dense
-    // cross-check (1e-6) — any merge bug shows up as a gross mismatch,
-    // not a rounding artifact.
-    for seed in 0..4u64 {
-        for strategy in [Strategy::Sequential, Strategy::KOperations { k: 5 }] {
             let circuit = random_circuit(6, 60, seed);
-            let threaded = SimOptions {
-                strategy,
-                threads: 3,
-                ..SimOptions::default()
-            };
-            let (sim_s, _) =
-                simulate(&circuit, SimOptions::with_strategy(strategy)).expect("sequential run");
-            let (sim_t, _) = simulate(&circuit, threaded).expect("threaded run");
-            for i in 0..(1u64 << 6) {
-                let a = sim_s.amplitude(i);
-                let b = sim_t.amplitude(i);
-                assert!(
-                    a.approx_eq(b, 1e-9),
-                    "seed {seed}, {strategy}, amplitude {i}: {a} vs {b}"
+            let (sim_d, stats_d) =
+                simulate(&circuit, SimOptions::with_strategy(strategy)).expect("default run");
+            for threads in [1u32, 2, 3] {
+                let options = SimOptions {
+                    strategy,
+                    threads,
+                    ..SimOptions::default()
+                };
+                let (sim_t, stats_t) = simulate(&circuit, options).expect("threaded run");
+                for i in 0..(1u64 << 6) {
+                    let a = sim_d.amplitude(i);
+                    let b = sim_t.amplitude(i);
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "seed {seed}, {strategy}, threads {threads}, amplitude {i}: {a} vs {b}"
+                    );
+                }
+                assert_eq!(
+                    shape(&stats_d),
+                    shape(&stats_t),
+                    "seed {seed}, {strategy}: threads={threads} changed the run statistics"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn threaded_runs_are_deterministic_across_reruns() {
-    // Parallelism must not introduce run-to-run nondeterminism: the fork
-    // planner, task order, and fixed-order result merge make two threaded
-    // runs of the same circuit bit-for-bit identical even though worker
-    // scheduling differs.
-    for seed in 0..3u64 {
-        let circuit = random_circuit(6, 60, seed);
-        let options = SimOptions {
-            strategy: Strategy::KOperations { k: 5 },
-            threads: 3,
-            ..SimOptions::default()
-        };
-        let (sim_a, _) = simulate(&circuit, options).expect("first threaded run");
-        let (sim_b, _) = simulate(&circuit, options).expect("second threaded run");
-        for i in 0..(1u64 << 6) {
-            let a = sim_a.amplitude(i);
-            let b = sim_b.amplitude(i);
-            assert_eq!(
-                (a.re.to_bits(), a.im.to_bits()),
-                (b.re.to_bits(), b.im.to_bits()),
-                "seed {seed}, amplitude {i}: {a} vs {b}"
-            );
         }
     }
 }
