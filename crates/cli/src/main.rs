@@ -235,14 +235,15 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             if c.lookups > 0 {
                 let (buckets, longest) = sim.dd().complex_table_occupancy();
                 println!(
-                    "complex_table        lookups {} unified {} ({:.1}%) inserts {} mean_probe {:.2} buckets {} longest {}",
+                    "complex_table        lookups {} unified {} ({:.1}%) inserts {} mean_probe {:.2} buckets {} longest {} bytes {}",
                     c.lookups,
                     c.unified,
                     100.0 * c.unify_rate(),
                     c.inserts,
                     c.mean_probe_len(),
                     buckets,
-                    longest
+                    longest,
+                    sim.dd().complex_table_bytes()
                 );
             }
         }

@@ -1,8 +1,8 @@
 //! A fast, non-cryptographic hasher for the hot-path tables.
 //!
 //! The DD compute and unique tables — and, since this module moved down
-//! here from `ddsim-dd`, the [`ComplexTable`](crate::ComplexTable) bucket
-//! map — hash small fixed-size keys (a few `u32`/`i64` words) millions of
+//! here from `ddsim-dd`, the [`ComplexTable`](crate::ComplexTable) grid-cell
+//! slots — hash small fixed-size keys (a few `u32`/`i64` words) millions of
 //! times per simulation; the standard library's SipHash is the wrong
 //! trade-off there. This is the FxHash mix (rotate, xor, multiply by a
 //! sparse odd constant) used by rustc's internal hash maps: two or three

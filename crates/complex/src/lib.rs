@@ -9,8 +9,8 @@
 //!   [`ComplexId`]s instead of raw floating-point pairs.
 //! * [`hash`] — the shared FxHash implementation used by every hot-path
 //!   table in the workspace (hoisted here, the bottom crate, in PR 7).
-//! * [`simd`] — runtime-dispatched SSE2/AVX kernels for the leaf arithmetic
-//!   and the interning probe, gated behind the `simd` cargo feature
+//! * [`simd`] — runtime-dispatched SSE2/AVX kernels for the leaf
+//!   arithmetic, gated behind the `simd` cargo feature
 //!   (default on) with a bitwise-identical scalar fallback.
 //!
 //! # Examples

@@ -1,33 +1,21 @@
 //! Runtime-dispatched SIMD kernels for the leaf-level complex arithmetic.
 //!
-//! Three hot routines are vectorized (see DESIGN.md §13):
-//!
-//! * [`probe_first_match`] — the [`ComplexTable`](crate::ComplexTable)
-//!   tolerance probe, the single hottest comparison loop in the repo: every
-//!   interned multiply/add/divide scans bucket candidates with two
-//!   `abs(diff) <= tol` compares per candidate. The SIMD paths pack the
-//!   candidates' `(re, im)` pairs into lanes and compare one (SSE2) or two
-//!   (AVX) candidates per instruction, replacing the branchy scalar
-//!   compare-and-jump pair with a single mask extraction.
-//! * [`mul_scaled2`] / [`mul_scaled4`] — the 2×2 leaf multiply/accumulate:
-//!   a common scale factor (an edge weight) times the 2 (vector) or 4
-//!   (matrix) child weights of a node.
+//! Two hot routines are vectorized (see DESIGN.md §13): [`mul_scaled2`] /
+//! [`mul_scaled4`], the 2×2 leaf multiply/accumulate — a common scale
+//! factor (an edge weight) times the 2 (vector) or 4 (matrix) child weights
+//! of a node. (The [`ComplexTable`](crate::ComplexTable) tolerance probe is
+//! scalar: a grid cell holds about one candidate, so there is nothing to
+//! pack into lanes.)
 //!
 //! # Bitwise identity with the scalar fallback
 //!
 //! The scalar path is the canonical semantics; every SIMD path is required
 //! to be **bit-for-bit identical** to it, which is what lets the `simd`
 //! cargo feature default on without perturbing snapshots, fuzz oracles, or
-//! the cross-strategy property tests:
-//!
-//! * The probe is a pure predicate (`|a−b| <= tol` per component). IEEE 754
-//!   comparison has no rounding, so a vectorized compare decides exactly
-//!   like the scalar one; returning the lowest matching lane preserves the
-//!   scalar first-match-in-insertion-order semantics.
-//! * The products use one multiply and one add/sub rounding per component —
-//!   the same operations, in the same order, as `Complex::mul`. No FMA is
-//!   used anywhere: fused multiply-add rounds once instead of twice and
-//!   would silently change interned representatives.
+//! the cross-strategy property tests. The products use one multiply and one add/sub rounding per component —
+//! the same operations, in the same order, as `Complex::mul`. No FMA is
+//! used anywhere: fused multiply-add rounds once instead of twice and would
+//! silently change interned representatives.
 //!
 //! Dispatch is detected **once** (per table / manager construction, via
 //! [`SimdLevel::detect`]) and stored; the kernels branch on the stored
@@ -47,9 +35,9 @@ pub enum SimdLevel {
     /// Plain scalar `f64` arithmetic — the canonical semantics.
     #[default]
     Scalar,
-    /// 128-bit lanes: one complex value per probe compare / product.
+    /// 128-bit lanes: one complex product per instruction.
     Sse2,
-    /// 256-bit lanes: two complex values per probe compare / product.
+    /// 256-bit lanes: two complex products per instruction.
     Avx,
 }
 
@@ -85,40 +73,6 @@ impl SimdLevel {
             SimdLevel::Scalar
         }
     }
-}
-
-// ----------------------------------------------------------------------
-// Tolerance probe
-// ----------------------------------------------------------------------
-
-/// Index of the first candidate in `vals` within `tol` of `c`
-/// (component-wise absolute difference), or `None`.
-///
-/// All tiers return the *same* index: the match decision is a rounding-free
-/// comparison, and the SIMD paths resolve multi-lane matches to the lowest
-/// lane.
-#[inline]
-pub fn probe_first_match(
-    level: SimdLevel,
-    vals: &[Complex],
-    c: Complex,
-    tol: f64,
-) -> Option<usize> {
-    match level {
-        SimdLevel::Scalar => probe_scalar(vals, c, tol),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Sse2 => unsafe { probe_sse2(vals, c, tol) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        SimdLevel::Avx => unsafe { probe_avx(vals, c, tol) },
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        _ => probe_scalar(vals, c, tol),
-    }
-}
-
-#[inline]
-fn probe_scalar(vals: &[Complex], c: Complex, tol: f64) -> Option<usize> {
-    vals.iter()
-        .position(|&v| (v.re - c.re).abs() <= tol && (v.im - c.im).abs() <= tol)
 }
 
 // ----------------------------------------------------------------------
@@ -173,71 +127,6 @@ mod x86 {
     use super::*;
     use std::arch::x86_64::*;
 
-    /// Clears the sign bit of both lanes (|x| without branching; exact).
-    const ABS_MASK: i64 = 0x7fff_ffff_ffff_ffff;
-
-    /// SSE2 probe: one candidate per iteration, both component compares in
-    /// a single packed compare + mask extraction.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the CPU supports SSE2 (baseline on x86-64).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn probe_sse2(vals: &[Complex], c: Complex, tol: f64) -> Option<usize> {
-        let target = _mm_set_pd(c.im, c.re); // lanes: [re, im]
-        let tolv = _mm_set1_pd(tol);
-        let abs = _mm_castsi128_pd(_mm_set1_epi64x(ABS_MASK));
-        for (i, v) in vals.iter().enumerate() {
-            // `Complex` is two contiguous f64s; unaligned load is fine.
-            let cand = _mm_loadu_pd(&v.re as *const f64);
-            let diff = _mm_and_pd(_mm_sub_pd(cand, target), abs);
-            if _mm_movemask_pd(_mm_cmple_pd(diff, tolv)) == 0b11 {
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// AVX probe: two candidates per iteration. Lane layout after a 256-bit
-    /// load of `vals[i..i+2]` is `[re0, im0, re1, im1]`; candidate `k`
-    /// matches when movemask bits `2k` and `2k+1` are both set. The lowest
-    /// matching candidate is returned, preserving scalar first-match order.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees the CPU supports AVX.
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn probe_avx(vals: &[Complex], c: Complex, tol: f64) -> Option<usize> {
-        let target = _mm256_set_pd(c.im, c.re, c.im, c.re);
-        let tolv = _mm256_set1_pd(tol);
-        let abs = _mm256_castsi256_pd(_mm256_set1_epi64x(ABS_MASK));
-        let pairs = vals.len() / 2;
-        for p in 0..pairs {
-            let base = p * 2;
-            let cand = _mm256_loadu_pd(&vals[base].re as *const f64);
-            let diff = _mm256_and_pd(_mm256_sub_pd(cand, target), abs);
-            let m = _mm256_movemask_pd(_mm256_cmp_pd::<{ _CMP_LE_OQ }>(diff, tolv));
-            if m & 0b0011 == 0b0011 {
-                return Some(base);
-            }
-            if m & 0b1100 == 0b1100 {
-                return Some(base + 1);
-            }
-        }
-        if vals.len() % 2 == 1 {
-            let i = vals.len() - 1;
-            let cand = _mm_loadu_pd(&vals[i].re as *const f64);
-            let diff128 = _mm_and_pd(
-                _mm_sub_pd(cand, _mm256_castpd256_pd128(target)),
-                _mm256_castpd256_pd128(abs),
-            );
-            if _mm_movemask_pd(_mm_cmple_pd(diff128, _mm256_castpd256_pd128(tolv))) == 0b11 {
-                return Some(i);
-            }
-        }
-        None
-    }
-
     /// One complex product in 128-bit lanes.
     ///
     /// Per component this performs exactly the scalar sequence
@@ -286,7 +175,7 @@ mod x86 {
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use x86::{mul_one_sse2, mul_pair_avx, probe_avx, probe_sse2};
+use x86::{mul_one_sse2, mul_pair_avx};
 
 #[cfg(test)]
 mod tests {
@@ -329,91 +218,6 @@ mod tests {
             levels.push(SimdLevel::Avx);
         }
         levels
-    }
-
-    #[test]
-    fn probe_matches_scalar_on_random_candidate_lists() {
-        let mut g = Gen(0x5eed_0001);
-        let tol = 1e-13;
-        for round in 0..2000 {
-            let len = (g.next_u64() % 7) as usize; // covers 0..=6, odd tails
-            let vals: Vec<Complex> = (0..len).map(|_| g.next_complex()).collect();
-            // Half the rounds probe a perturbed copy of a stored value so
-            // matches actually occur; half probe an unrelated value.
-            let c = if round % 2 == 0 && !vals.is_empty() {
-                let i = (g.next_u64() as usize) % vals.len();
-                let eps = (g.next_f64() * 1e-14).clamp(-2e-13, 2e-13);
-                Complex::new(vals[i].re + eps, vals[i].im - eps)
-            } else {
-                g.next_complex()
-            };
-            let want = probe_first_match(SimdLevel::Scalar, &vals, c, tol);
-            for &level in &available_levels() {
-                assert_eq!(
-                    probe_first_match(level, &vals, c, tol),
-                    want,
-                    "round {round}, level {level:?}, c {c:?}, vals {vals:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probe_boundary_cases_match_scalar() {
-        let tol = 1e-10;
-        let cases = [
-            // Exactly at tolerance (inclusive compare).
-            (Complex::new(0.5 + 1e-10, 0.25), Complex::new(0.5, 0.25)),
-            // Just beyond.
-            (
-                Complex::new(0.5 + 1.0000001e-10, 0.25),
-                Complex::new(0.5, 0.25),
-            ),
-            // Signed zero.
-            (Complex::new(-0.0, 0.0), Complex::new(0.0, -0.0)),
-            // One component matches, the other fails.
-            (Complex::new(0.5, 0.25), Complex::new(0.5, 0.26)),
-        ];
-        for (a, b) in cases {
-            let vals = [b];
-            let want = probe_first_match(SimdLevel::Scalar, &vals, a, tol);
-            for &level in &available_levels() {
-                assert_eq!(
-                    probe_first_match(level, &vals, a, tol),
-                    want,
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probe_returns_first_match_when_several_candidates_match() {
-        // Three candidates inside tolerance of the probe: every tier must
-        // return index 0 (insertion order decides the representative).
-        let tol = 1e-6;
-        let c = Complex::new(0.5, 0.5);
-        let vals = [
-            Complex::new(0.5 + 1e-8, 0.5),
-            Complex::new(0.5, 0.5 - 1e-8),
-            Complex::new(0.5 - 1e-8, 0.5 + 1e-8),
-        ];
-        for &level in &available_levels() {
-            assert_eq!(
-                probe_first_match(level, &vals, c, tol),
-                Some(0),
-                "{level:?}"
-            );
-        }
-        // And when only the later ones match, the lowest matching index wins.
-        let vals = [Complex::new(2.0, 2.0), vals[1], vals[2]];
-        for &level in &available_levels() {
-            assert_eq!(
-                probe_first_match(level, &vals, c, tol),
-                Some(1),
-                "{level:?}"
-            );
-        }
     }
 
     #[test]

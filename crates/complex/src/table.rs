@@ -20,27 +20,29 @@
 //! Tight-absolute is the working middle ground, matching mature QMDD
 //! packages.
 //!
-//! # Hot-path layout (PR 7, DESIGN.md §13)
+//! # Storage layout (DESIGN.md §13)
 //!
-//! `lookup` sits under every interned multiply/add/divide, so its storage
-//! is arranged for the probe, not for elegance:
+//! `lookup` sits under every interned multiply/add/divide, and most values
+//! it sees are new: a large state interns millions of weights, nearly each
+//! in a grid cell of its own. The storage is therefore one flat allocation
+//! per concern, with no per-cell heap object:
 //!
-//! * The bucket map is an [`FxHashMap`] (3 ALU ops per key word) instead of
-//!   the standard SipHash map.
-//! * Each bucket stores its candidates' `(re, im)` pairs **packed
-//!   contiguously** next to the ids, so the tolerance scan is a linear read
-//!   (and SIMD-comparable, 2 candidates per AVX instruction) instead of a
-//!   random `values[id]` gather per candidate.
-//! * Each stored value carries its `norm_sqr` in the same struct, so
-//!   normalization pivot selection touches the cache line the value itself
-//!   occupies.
+//! * `entries` holds every representative in id order: the value, its
+//!   `norm_sqr` (so normalization pivot selection touches the cache line
+//!   the value occupies) and its grid-cell key.
+//! * `slots` is a power-of-two open-addressed array of 4-byte ids keyed by
+//!   grid cell, with linear probing and at most 50% load. A cell's ids sit
+//!   on its probe chain in insertion order: nothing is ever deleted, and
+//!   growth re-places the ids in id order. Walking the chain and keeping
+//!   the ids whose key matches therefore visits the cell's candidates in
+//!   the order they were interned.
 //! * The neighbour probe visits only grid cells that can actually contain a
 //!   match: the cell width is `2·tolerance`, so a candidate within
 //!   tolerance of `c` lies in `c`'s own cell or the *one* neighbour on the
-//!   side `c` is nearer to — 4 buckets typically, not 9 (a conservative FP
+//!   side `c` is nearer to — 4 cells typically, not 9 (a conservative FP
 //!   slack falls back to 3 cells per axis near half-cell positions).
 
-use crate::hash::FxHashMap;
+use crate::hash::fx_hash;
 use crate::simd::{self, SimdLevel};
 use crate::value::{Complex, DEFAULT_TOLERANCE};
 
@@ -87,49 +89,53 @@ impl ComplexId {
     }
 }
 
-/// Bucket key: grid coordinates at the tolerance scale.
-type BucketKey = (i64, i64);
+/// Grid-cell key: per axis, the cell index at the tolerance scale, or the
+/// component's bits where that index would not fit an `i64` (see
+/// [`ComplexTable::axis_cells`]).
+type CellKey = (i64, i64);
 
-/// One stored representative: the value and its squared magnitude,
-/// interleaved so normalization pivot reads (`norm`) land on the cache line
-/// the value itself (`val`) occupies — the "norm_sqr adjacent to the weight
-/// it describes" layout from DESIGN.md §13.
+/// One stored representative: the value, its squared magnitude (so
+/// normalization pivot reads land on the cache line the value occupies)
+/// and the grid cell it was filed under (so a probe chain can tell its own
+/// cell's candidates from those of cells that share the chain).
 #[derive(Clone, Copy, Debug)]
 struct Stored {
     val: Complex,
     norm: f64,
+    cell: CellKey,
 }
 
-/// One tolerance-grid bucket: candidate values packed contiguously for the
-/// linear/SIMD probe, with the matching raw ids alongside.
-#[derive(Clone, Debug, Default)]
-struct Bucket {
-    vals: Vec<Complex>,
-    ids: Vec<u32>,
-}
+/// Marker of an unoccupied slot. Never a valid id: `insert` refuses to
+/// hand it out.
+const EMPTY: u32 = u32::MAX;
+
+/// Initial slot count (a power of two), holding 1024 ids at 50% load.
+const INITIAL_SLOTS: usize = 2048;
 
 /// Counters of the interning table, reported through `DdStats::cache`
 /// alongside the compute/unique-table counters (`--stats`, bench JSON).
 ///
 /// All counters are defined *semantically* — from probe outcomes, not from
-/// how many lanes an instruction compared — so scalar and SIMD builds
-/// produce identical statistics (property-tested).
+/// how the slots are laid out — so scalar and SIMD builds produce
+/// identical statistics (property-tested).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComplexTableStats {
     /// `lookup` calls (interning requests), including the pinned zero/one
     /// fast paths.
     pub lookups: u64,
     /// Lookups resolved to an existing non-pinned representative by the
-    /// bucket probe.
+    /// grid-cell probe.
     pub unified: u64,
     /// Lookups that inserted a new representative.
     pub inserts: u64,
     /// Grid cells examined across all probes (4 per lookup typically; up
     /// to 9 near half-cell positions).
     pub buckets_probed: u64,
-    /// Candidate representatives compared across all probes: the probe
-    /// length. On a hit this counts the matched candidate's position + 1;
-    /// on a miss, the full bucket lengths scanned.
+    /// Candidate representatives of the probed cells compared across all
+    /// probes: the probe length. On a hit this counts the matched
+    /// candidate's position in its cell + 1; on a miss, the full lengths of
+    /// the cells scanned. Ids of other cells met on a probe chain are not
+    /// counted.
     pub probe_entries: u64,
 }
 
@@ -190,9 +196,15 @@ impl ComplexTableStats {
 #[derive(Clone, Debug)]
 pub struct ComplexTable {
     entries: Vec<Stored>,
-    buckets: FxHashMap<BucketKey, Bucket>,
+    /// Open-addressed ids keyed by grid cell (see the module docs);
+    /// [`EMPTY`] marks a free slot. The length is a power of two.
+    slots: Vec<u32>,
+    /// Distinct occupied grid cells.
+    cells: usize,
+    /// Most candidates filed under one grid cell.
+    longest_cell: usize,
     tolerance: f64,
-    /// SIMD tier for the probe and the batched products, resolved once at
+    /// SIMD tier for the batched products, resolved once at
     /// construction (never per lookup — see `simd::SimdLevel::detect`).
     simd: SimdLevel,
     stats: ComplexTableStats,
@@ -223,13 +235,14 @@ impl ComplexTable {
             "tolerance must be finite, positive, and small"
         );
         let mut table = ComplexTable {
-            entries: Vec::with_capacity(1024),
-            buckets: FxHashMap::default(),
+            entries: Vec::with_capacity(INITIAL_SLOTS / 2),
+            slots: vec![EMPTY; INITIAL_SLOTS],
+            cells: 0,
+            longest_cell: 0,
             tolerance,
             simd: SimdLevel::detect_or_scalar(simd_enabled),
             stats: ComplexTableStats::default(),
         };
-        table.buckets.reserve(1024);
         // Ids 0 and 1 are pinned (see `ComplexId::{ZERO, ONE}`).
         table.insert_raw(Complex::ZERO);
         table.insert_raw(Complex::ONE);
@@ -242,7 +255,7 @@ impl ComplexTable {
         self.tolerance
     }
 
-    /// The SIMD tier the probe and batched products dispatch to.
+    /// The SIMD tier the batched products dispatch to.
     #[inline]
     pub fn simd_level(&self) -> SimdLevel {
         self.simd
@@ -280,20 +293,25 @@ impl ComplexTable {
         self.entries.len() <= 2
     }
 
-    /// Number of occupied tolerance-grid buckets (occupancy telemetry).
+    /// Number of occupied tolerance-grid cells (occupancy telemetry).
     #[inline]
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.cells
     }
 
-    /// Longest bucket candidate list (occupancy telemetry; the worst-case
-    /// probe length within one cell).
+    /// Most candidates filed under one grid cell (occupancy telemetry; the
+    /// worst-case probe length within one cell).
+    #[inline]
     pub fn max_bucket_len(&self) -> usize {
-        self.buckets
-            .values()
-            .map(|b| b.ids.len())
-            .max()
-            .unwrap_or(0)
+        self.longest_cell
+    }
+
+    /// Heap bytes the table holds, from the capacities of its two arrays
+    /// (values with their norms and cell keys, and the id slots).
+    #[inline]
+    pub fn bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Stored>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The value a given id denotes.
@@ -337,8 +355,10 @@ impl ComplexTable {
         }
         let (qre, re_lo, re_hi) = self.axis_cells(c.re);
         let (qim, im_lo, im_hi) = self.axis_cells(c.im);
+        let tol = self.tolerance;
         let mut buckets_probed = 0u64;
         let mut probe_entries = 0u64;
+        let mut own_cell_len = 0;
         let mut found: Option<u32> = None;
         'probe: for dre in -1i64..=1 {
             if (dre == -1 && !re_lo) || (dre == 1 && !re_hi) {
@@ -348,19 +368,16 @@ impl ComplexTable {
                 if (dim == -1 && !im_lo) || (dim == 1 && !im_hi) {
                     continue;
                 }
-                // Saturating: huge values (e.g. weight ratios across many
-                // magnitude scales) clamp the grid to the i64 edge.
-                let key = (qre.saturating_add(dre), qim.saturating_add(dim));
                 buckets_probed += 1;
-                if let Some(bucket) = self.buckets.get(&key) {
-                    match simd::probe_first_match(self.simd, &bucket.vals, c, self.tolerance) {
-                        Some(i) => {
-                            probe_entries += i as u64 + 1;
-                            found = Some(bucket.ids[i]);
-                            break 'probe;
-                        }
-                        None => probe_entries += bucket.vals.len() as u64,
-                    }
+                let key = (qre.wrapping_add(dre), qim.wrapping_add(dim));
+                let (compared, hit) = self.probe_cell(key, |v| v.approx_eq(c, tol));
+                probe_entries += compared as u64;
+                if hit.is_some() {
+                    found = hit;
+                    break 'probe;
+                }
+                if dre == 0 && dim == 0 {
+                    own_cell_len = compared;
                 }
             }
         }
@@ -373,7 +390,7 @@ impl ComplexTable {
             }
             None => {
                 self.stats.inserts += 1;
-                self.insert_raw(c)
+                self.insert((qre, qim), c, own_cell_len)
             }
         }
     }
@@ -672,8 +689,8 @@ impl ComplexTable {
     /// `ComplexId` with raw index `i`). For snapshot serialization: because
     /// tolerance bucketing makes representatives depend on insertion
     /// history, a bitwise-faithful restore must replay the *entire* table,
-    /// not merely the reachable ids. (Returns an owned vector since PR 7:
-    /// values are stored interleaved with their norms.)
+    /// not merely the reachable ids. (Returns an owned vector: values are
+    /// stored interleaved with their norms and cell keys.)
     pub fn values(&self) -> Vec<Complex> {
         self.entries.iter().map(|s| s.val).collect()
     }
@@ -683,7 +700,7 @@ impl ComplexTable {
     /// `values` must be a sequence previously produced by
     /// [`values`](Self::values): entry 0 must be zero, entry 1 must be one,
     /// and every entry must be finite. Values are re-inserted raw, in
-    /// order, so every id, representative, and bucket layout matches the
+    /// order, so every id, representative, and cell layout matches the
     /// captured table exactly and subsequent [`lookup`](Self::lookup) calls
     /// resolve identically to the original.
     pub fn from_values(tolerance: f64, values: &[Complex]) -> Result<Self, String> {
@@ -716,33 +733,95 @@ impl ComplexTable {
     /// to scanning all three cells, just cheaper. Near half-cell positions
     /// (or at magnitudes where an ulp exceeds the slack) both neighbours
     /// are probed, restoring the full 3-cell axis.
+    ///
+    /// Where the cell index does not fit an `i64` (|x| ≥ 2·tol·2⁶³, about
+    /// 1.8e6 at the default tolerance), an ulp of `x` exceeds 1000·tol, so
+    /// only an equal component can match: the component's bits are its
+    /// cell, and no neighbour is probed. A saturated index would instead
+    /// file every such value under one shared cell.
     fn axis_cells(&self, x: f64) -> (i64, bool, bool) {
-        let width = 2.0 * self.tolerance;
-        let r = x / width;
+        /// 2⁶³, the first cell index past `i64::MAX`.
+        const INDEX_LIMIT: f64 = 9_223_372_036_854_775_808.0;
+        let r = x / (2.0 * self.tolerance);
+        if r.abs() >= INDEX_LIMIT {
+            return (x.to_bits() as i64, false, false);
+        }
         let q = r.floor();
         let frac = r - q;
         let slack = 8.0 * f64::EPSILON * r.abs() + 1e-9;
-        if !frac.is_finite() {
-            // r overflowed to infinity (astronomically large weight ratio):
-            // grid coordinates saturate; probe everything like the old
-            // unconditional 3×3 did.
-            return (r as i64, true, true);
-        }
         (q as i64, frac <= 0.5 + slack, frac >= 0.5 - slack)
     }
 
+    /// Walks `cell`'s probe chain in insertion order: the number of
+    /// `cell`'s candidates examined, and the first one `matches` accepts.
+    #[inline]
+    fn probe_cell(&self, cell: CellKey, matches: impl Fn(Complex) -> bool) -> (usize, Option<u32>) {
+        let mask = self.slots.len() - 1;
+        let mut slot = fx_hash(&cell) as usize & mask;
+        let mut examined = 0;
+        loop {
+            let raw = self.slots[slot];
+            if raw == EMPTY {
+                return (examined, None);
+            }
+            let stored = &self.entries[raw as usize];
+            if stored.cell == cell {
+                examined += 1;
+                if matches(stored.val) {
+                    return (examined, Some(raw));
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Appends `c` without probing for a match (pinned values and
+    /// [`from_values`](Self::from_values)).
     fn insert_raw(&mut self, c: Complex) -> ComplexId {
-        let raw = u32::try_from(self.entries.len()).expect("complex table overflow");
+        let cell = (self.axis_cells(c.re).0, self.axis_cells(c.im).0);
+        let (cell_len, _) = self.probe_cell(cell, |_| false);
+        self.insert(cell, c, cell_len)
+    }
+
+    /// Appends `c` under `cell`, which already holds `cell_len` candidates.
+    fn insert(&mut self, cell: CellKey, c: Complex, cell_len: usize) -> ComplexId {
+        let raw = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&raw| raw != EMPTY)
+            .expect("complex table overflow");
         self.entries.push(Stored {
             val: c,
             norm: c.norm_sqr(),
+            cell,
         });
-        let (qre, _, _) = self.axis_cells(c.re);
-        let (qim, _, _) = self.axis_cells(c.im);
-        let bucket = self.buckets.entry((qre, qim)).or_default();
-        bucket.vals.push(c);
-        bucket.ids.push(raw);
+        self.cells += usize::from(cell_len == 0);
+        self.longest_cell = self.longest_cell.max(cell_len + 1);
+        if 2 * self.entries.len() > self.slots.len() {
+            self.grow();
+        } else {
+            self.place(raw, cell);
+        }
         ComplexId(raw)
+    }
+
+    /// Puts `raw` in the first free slot of `cell`'s probe chain.
+    fn place(&mut self, raw: u32, cell: CellKey) {
+        let mask = self.slots.len() - 1;
+        let mut slot = fx_hash(&cell) as usize & mask;
+        while self.slots[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = raw;
+    }
+
+    /// Doubles the slot array and re-places every id in id order, which
+    /// keeps each cell's candidates in insertion order along its chain.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; 2 * self.slots.len()];
+        for raw in 0..self.entries.len() {
+            let cell = self.entries[raw].cell;
+            self.place(raw as u32, cell);
+        }
     }
 }
 
@@ -1032,31 +1111,189 @@ mod tests {
 
     #[test]
     fn scalar_and_simd_tables_intern_identically() {
-        // The same lookup sequence against a SIMD table and a forced-scalar
-        // table: identical ids, identical stats, identical stored bits.
+        // The same batched multiply/divide sequence against a SIMD table and
+        // a forced-scalar table: identical ids, identical stats, identical
+        // stored bits.
         let mut simd_t = ComplexTable::with_tolerance_and_simd(DEFAULT_TOLERANCE, true);
         let mut scalar_t = ComplexTable::with_tolerance_and_simd(DEFAULT_TOLERANCE, false);
         assert_eq!(scalar_t.simd_level(), SimdLevel::Scalar);
         let mut state = 0x1234_5678_9abc_def0u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0
+        };
+        let mut ids = vec![ComplexId::ONE];
         for round in 0..500 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let re = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let im = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0;
-            // Mix in near-duplicates so unification paths run.
-            let c = if round % 3 == 0 {
-                Complex::new(re + 1e-15, im)
-            } else {
-                Complex::new(re, im)
-            };
-            assert_eq!(simd_t.lookup(c), scalar_t.lookup(c), "round {round}");
+            let c = Complex::new(next(), next());
+            let id = simd_t.lookup(c);
+            assert_eq!(id, scalar_t.lookup(c), "round {round}");
+            ids.push(id);
+            let pick = |k: usize| ids[(round * 7 + k * 13) % ids.len()];
+            let quad = [pick(1), pick(2), pick(3), pick(4)];
+            assert_eq!(
+                simd_t.mul4(id, quad),
+                scalar_t.mul4(id, quad),
+                "round {round}"
+            );
+            let pair = [pick(5), pick(6)];
+            assert_eq!(
+                simd_t.mul2(id, pair),
+                scalar_t.mul2(id, pair),
+                "round {round}"
+            );
+            assert_eq!(
+                simd_t.div4(quad, id),
+                scalar_t.div4(quad, id),
+                "round {round}"
+            );
         }
         assert_eq!(simd_t.len(), scalar_t.len());
         assert_eq!(simd_t.stats(), scalar_t.stats());
+        for (x, y) in simd_t.values().iter().zip(scalar_t.values().iter()) {
+            assert_eq!(
+                (x.re.to_bits(), x.im.to_bits()),
+                (y.re.to_bits(), y.im.to_bits())
+            );
+        }
+    }
+
+    /// The interning contract spelled out by brute force: a value resolves
+    /// to the first stored representative within tolerance, taking the
+    /// grid cells in ascending (re, im) order and each cell's candidates in
+    /// insertion order.
+    struct ReferenceTable {
+        tol: f64,
+        values: Vec<Complex>,
+    }
+
+    impl ReferenceTable {
+        fn new(tol: f64) -> Self {
+            ReferenceTable {
+                tol,
+                values: vec![Complex::ZERO, Complex::ONE],
+            }
+        }
+
+        fn lookup(&mut self, c: Complex) -> usize {
+            if c.approx_zero(self.tol) {
+                return 0;
+            }
+            if c.approx_one(self.tol) {
+                return 1;
+            }
+            // Cell coordinates as floats, so huge components need no
+            // special case: equal components share a cell.
+            let cell = |x: f64| (x / (2.0 * self.tol)).floor();
+            let order = |v: Complex| {
+                let side = |a: f64, b: f64| a.partial_cmp(&b).unwrap();
+                (side(cell(v.re), cell(c.re)), side(cell(v.im), cell(c.im)))
+            };
+            let best = self
+                .values
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.approx_eq(c, self.tol))
+                .min_by_key(|&(i, &v)| (order(v), i))
+                .map(|(i, _)| i);
+            best.unwrap_or_else(|| {
+                self.values.push(c);
+                self.values.len() - 1
+            })
+        }
+    }
+
+    #[test]
+    fn lookup_agrees_with_the_brute_force_reference_model() {
+        let tol = DEFAULT_TOLERANCE;
+        let width = 2.0 * tol;
+        let mut table = ComplexTable::with_tolerance(tol);
+        let mut reference = ReferenceTable::new(tol);
+        let mut state = 0x0dd5_1cea_5eed_0013u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let unit = |bits: u64| bits as f64 / (1u64 << 53) as f64; // [0, 1)
+        let mut stored: Vec<Complex> = Vec::new();
+        let mut unified = 0;
+        let check = |table: &mut ComplexTable, reference: &mut ReferenceTable, c: Complex| {
+            let got = table.lookup(c).index();
+            assert_eq!(got, reference.lookup(c), "lookup of {c:?}");
+            got
+        };
+        for round in 0..6000 {
+            let kind = next() % 8;
+            let component = |bits: u64| -> f64 {
+                let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+                match kind {
+                    // Huge components: above the cell-index limit (1.8e6)
+                    // only equal components can match.
+                    0 => sign * (1e6 + unit(bits) * 4e6),
+                    // A half-cell or cell-edge position.
+                    1 => {
+                        sign * (((bits >> 8) % 1000) as f64 + [0.5, 0.0, 1.0][bits as usize % 3])
+                            * width
+                    }
+                    _ => sign * unit(bits),
+                }
+            };
+            let c = if kind >= 5 && !stored.is_empty() {
+                // Near-duplicates of earlier values, inside and just outside
+                // the tolerance, and exact repeats.
+                let base = stored[(next() as usize) % stored.len()];
+                let offset = [0.0, 0.3, 0.99, 1.0, 1.01, 1.7][(next() % 6) as usize] * tol;
+                let flip = if next() & 1 == 0 { 1.0 } else { -1.0 };
+                Complex::new(base.re + flip * offset, base.im - offset)
+            } else {
+                Complex::new(component(next()), component(next()))
+            };
+            let id = check(&mut table, &mut reference, c);
+            if id == stored.len() + 2 {
+                stored.push(c);
+            } else if id >= 2 {
+                unified += 1;
+            }
+            if round == 3000 {
+                // A restored table continues id-for-id with the original.
+                let restored = ComplexTable::from_values(tol, &table.values()).unwrap();
+                assert_eq!(restored.bucket_count(), table.bucket_count());
+                assert_eq!(restored.max_bucket_len(), table.max_bucket_len());
+                table = restored;
+            }
+        }
+        // Past 2·2048 weights the initial 2048 slots have doubled 3 times.
+        assert!(table.len() > 2 * INITIAL_SLOTS, "{} weights", table.len());
+        assert_eq!(table.len(), reference.values.len());
+        assert!(unified > 1000, "near-duplicates must unify: {unified}");
+    }
+
+    #[test]
+    fn huge_components_get_a_cell_each() {
+        // Every component past the cell-index limit used to share one
+        // saturated cell, so distinct huge values piled into a single chain.
+        let mut t = ComplexTable::new();
+        for k in 0..100 {
+            let id = t.lookup(Complex::new(2e6 + k as f64, 0.25));
+            assert_eq!(t.lookup(Complex::new(2e6 + k as f64, 0.25)), id);
+        }
+        assert_eq!(t.len(), 102);
+        assert_eq!(t.max_bucket_len(), 1);
+        assert_eq!(t.bucket_count(), 102);
+    }
+
+    #[test]
+    fn a_million_weights_fit_in_64_bytes_each() {
+        let mut t = ComplexTable::new();
+        for i in 0..1_000_000u32 {
+            t.lookup(Complex::new(0.25 + f64::from(i) * 1e-7, -0.5));
+        }
+        assert_eq!(t.len(), 1_000_002);
+        let per_weight = t.bytes() as f64 / t.len() as f64;
+        assert!(per_weight <= 64.0, "{per_weight:.1} bytes per weight");
     }
 
     #[test]

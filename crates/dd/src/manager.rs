@@ -446,11 +446,19 @@ impl DdManager {
     }
 
     /// Live occupancy of the complex-weight interning table:
-    /// `(occupied grid buckets, longest bucket)`. Reported by `--stats`
-    /// alongside the [`ComplexTableStats`](ddsim_complex::ComplexTableStats)
-    /// counters; computed on demand (O(buckets)), not kept hot.
+    /// `(occupied grid cells, most candidates in one cell)`. Reported by
+    /// `--stats` alongside the
+    /// [`ComplexTableStats`](ddsim_complex::ComplexTableStats) counters.
     pub fn complex_table_occupancy(&self) -> (usize, usize) {
         (self.complex.bucket_count(), self.complex.max_bucket_len())
+    }
+
+    /// Heap bytes held by the complex-weight interning table. O(1):
+    /// computed from capacities. Not part of
+    /// [`tracked_bytes`](Self::tracked_bytes), so `max_table_bytes` does
+    /// not govern it.
+    pub fn complex_table_bytes(&self) -> usize {
+        self.complex.bytes()
     }
 
     /// Resets the statistics counters (the diagrams are untouched).
