@@ -29,10 +29,10 @@ fn main() {
     for w in &suite {
         let cells: Vec<String> = [
             "sequential",
-            "kops;8",
-            "maxsize;256",
-            "ddrepeating;8",
-            "adaptive;1000;4096",
+            "kops:8",
+            "maxsize:256",
+            "ddrepeating:8",
+            "adaptive",
         ]
         .iter()
         .map(|token| run_measured(w, token, options.seed, options.timeout).display())

@@ -65,7 +65,7 @@ fn main() {
         print!("{:<22}", w.name());
         let mut json_lines = Vec::new();
         for (ki, &k) in ks.iter().enumerate() {
-            let token = format!("kops;{k}");
+            let token = format!("kops:{k}");
             let m = run_measured(w, &token, options.seed, options.timeout);
             let cell = match (baseline.seconds(), m.seconds()) {
                 (Some(b), Some(c)) => format!("{:.2}x", b / c),

@@ -40,7 +40,7 @@ fn main() {
     for (w, baseline) in suite.iter().zip(baselines.iter()) {
         print!("{:<22}", w.name());
         for (si, &s) in sizes.iter().enumerate() {
-            let m = run_measured(w, &format!("maxsize;{s}"), options.seed, options.timeout);
+            let m = run_measured(w, &format!("maxsize:{s}"), options.seed, options.timeout);
             let cell = match (baseline.seconds(), m.seconds()) {
                 (Some(b), Some(c)) => format!("{:.2}x", b / c),
                 (_, None) => "t/o".to_string(),

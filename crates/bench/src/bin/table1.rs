@@ -33,7 +33,7 @@ fn main() {
         // of k/s_max".
         let mut general: Option<Measurement> = None;
         for k in [4usize, 8, 16, 32] {
-            let m = run_measured(w, &format!("kops;{k}"), options.seed, options.timeout);
+            let m = run_measured(w, &format!("kops:{k}"), options.seed, options.timeout);
             general = Some(match (general, m.seconds()) {
                 (None, _) => m,
                 (Some(best), Some(c)) => {
@@ -48,7 +48,7 @@ fn main() {
         }
         let general = general.expect("k sweep is non-empty");
 
-        let repeating = run_measured(w, "ddrepeating;8", options.seed, options.timeout);
+        let repeating = run_measured(w, "ddrepeating:8", options.seed, options.timeout);
 
         println!(
             "{:<14} {:>12} {:>12} {:>18}",

@@ -31,7 +31,7 @@ fn main() {
         println!("{}", run_json(&w.name(), "sequential", &sota));
 
         let mut general: Option<Measurement> = None;
-        for token in ["kops;8", "kops;16", "kops;32", "maxsize;256"] {
+        for token in ["kops:8", "kops:16", "kops:32", "maxsize:256"] {
             let m = run_measured(w, token, options.seed, options.timeout);
             println!("{}", run_json(&w.name(), token, &m));
             general = Some(match (general, m.seconds()) {

@@ -128,43 +128,6 @@ pub fn parse_workload(spec: &str) -> Workload {
     }
 }
 
-/// Serializes a strategy to a spec token.
-pub fn strategy_spec(s: Strategy) -> String {
-    match s {
-        Strategy::Sequential => "sequential".to_string(),
-        Strategy::KOperations { k } => format!("kops;{k}"),
-        Strategy::MaxSize { s_max } => format!("maxsize;{s_max}"),
-        Strategy::DdRepeating { k } => format!("ddrepeating;{k}"),
-        Strategy::Adaptive { ratio_millis, cap } => format!("adaptive;{ratio_millis};{cap}"),
-    }
-}
-
-/// Parses a strategy spec.
-///
-/// # Panics
-///
-/// Panics on a malformed spec.
-pub fn parse_strategy(spec: &str) -> Strategy {
-    let parts: Vec<&str> = spec.split(';').collect();
-    match parts[0] {
-        "sequential" => Strategy::Sequential,
-        "kops" => Strategy::KOperations {
-            k: parts[1].parse().expect("k"),
-        },
-        "maxsize" => Strategy::MaxSize {
-            s_max: parts[1].parse().expect("s_max"),
-        },
-        "ddrepeating" => Strategy::DdRepeating {
-            k: parts[1].parse().expect("k"),
-        },
-        "adaptive" => Strategy::Adaptive {
-            ratio_millis: parts[1].parse().expect("ratio_millis"),
-            cap: parts[2].parse().expect("cap"),
-        },
-        other => panic!("unknown strategy `{other}`"),
-    }
-}
-
 /// The standard benchmark suites for the Fig. 8 / Fig. 9 sweeps.
 pub fn sweep_suite(scale: Scale) -> Vec<Workload> {
     match scale {
@@ -423,7 +386,7 @@ pub fn execute(workload: &Workload, strategy_token: &str, seed: u64) -> RunStats
         let outcome = run_shor_dd_construct(ShorInstance::new(*modulus, *base), seed);
         return outcome.stats;
     }
-    let strategy = parse_strategy(strategy_token);
+    let strategy: Strategy = strategy_token.parse().expect("strategy spec");
     let circuit = workload.circuit();
     let (_, stats) = simulate(
         &circuit,
@@ -642,19 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_spec_roundtrip() {
-        for s in [
-            Strategy::Sequential,
-            Strategy::KOperations { k: 8 },
-            Strategy::MaxSize { s_max: 512 },
-            Strategy::DdRepeating { k: 2 },
-            Strategy::adaptive(),
-        ] {
-            assert_eq!(parse_strategy(&strategy_spec(s)), s);
-        }
-    }
-
-    #[test]
     fn names_follow_paper_convention() {
         assert_eq!(
             Workload::Grover {
@@ -692,7 +642,7 @@ mod tests {
         };
         let stats = execute(&w, "sequential", 0);
         assert!(stats.mat_vec_mults > 0);
-        let stats = execute(&w, "kops;4", 0);
+        let stats = execute(&w, "kops:4", 0);
         assert!(stats.mat_mat_mults > 0);
         let shor = Workload::Shor {
             modulus: 15,

@@ -81,6 +81,9 @@ pub fn fx_hash<T: Hash>(value: &T) -> u64 {
 /// (shot-count histograms, export walks, other small-key hot loops).
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
+/// A `HashSet` keyed by [`FxHasher`].
+pub type FxHashSet<K> = std::collections::HashSet<K, std::hash::BuildHasherDefault<FxHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

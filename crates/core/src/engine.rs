@@ -214,8 +214,9 @@ pub struct Simulator {
     // Every gate folded into `pending`, in application order — the replay
     // script for ladder rung 3 (drop the product, apply gates one by one).
     pending_ops: Vec<GateOp>,
-    // State DD size as of the last application (drives Strategy::Adaptive).
-    cached_state_nodes: usize,
+    // State DD size the flush rule reads; `None` once the state changed,
+    // recounted only when the rule next reads it.
+    cached_state_nodes: Option<usize>,
     // Reference state size for the reorder growth trigger: node count as of
     // the last sift (or the last checkpoint barrier, which resets it the
     // same way on the writer and on resume, keeping the two bitwise in
@@ -272,7 +273,7 @@ impl Simulator {
             pending_gates: 0,
             pending_single: None,
             pending_ops: Vec::new(),
-            cached_state_nodes: 1,
+            cached_state_nodes: Some(1),
             sift_baseline: 1,
             reorder_holds: 0,
             degraded: false,
@@ -558,8 +559,8 @@ impl Simulator {
         self.dd.set_deadline(deadline);
         self.dd.set_cancel_token(cancel);
         self.dd.set_par(par);
-        self.cached_state_nodes = self.dd.vec_node_count(self.state);
-        self.sift_baseline = self.cached_state_nodes.max(1);
+        self.cached_state_nodes = None;
+        self.sift_baseline = self.dd.vec_node_count(self.state).max(1);
         self.stats.checkpoints_written += 1;
         Ok(())
     }
@@ -605,7 +606,7 @@ impl Simulator {
         if let Some(pool) = build_pool(options.threads) {
             dd.set_par(Par::Threaded(pool));
         }
-        let cached_state_nodes = dd.vec_node_count(state);
+        let sift_baseline = dd.vec_node_count(state).max(1);
         let sim = Simulator {
             dd,
             n: snap.qubits,
@@ -617,8 +618,8 @@ impl Simulator {
             pending_gates: 0,
             pending_single: None,
             pending_ops: Vec::new(),
-            cached_state_nodes,
-            sift_baseline: cached_state_nodes.max(1),
+            cached_state_nodes: None,
+            sift_baseline,
             reorder_holds: 0,
             degraded: false,
             ops_executed: snap.next_op,
@@ -715,19 +716,19 @@ impl Simulator {
     fn sift_now(&mut self, ladder: bool) {
         debug_assert!(self.can_sift());
         let budget = 4 * (self.n as usize) * (self.n as usize);
+        // `sift_state` moves the pin it is handed onto the sifted edge; hand
+        // it a second one so `replace_state` makes the simulator's swap (and
+        // collects the displaced old-order nodes).
+        self.dd.inc_ref_vec(self.state);
         let (next, rs) = self.dd.sift_state(self.state, budget);
-        self.state = next;
+        self.dd.dec_ref_vec(next);
+        self.replace_state(next);
         self.sift_baseline = rs.nodes_after.max(1);
-        if matches!(self.options.strategy, Strategy::Adaptive { .. }) {
-            self.cached_state_nodes = rs.nodes_after;
-        }
         if ladder {
             self.stats.ladder_reorders += 1;
         } else {
             self.stats.reorders += 1;
         }
-        // The displaced old-order nodes are garbage now.
-        self.collect_if_needed();
     }
 
     /// Growth trigger for the explicit [`ReorderMode::Sifting`] policy:
@@ -793,12 +794,8 @@ impl Simulator {
     fn degrade_and_replay(&mut self) -> Result<(), SimError> {
         self.stats.ladder_strategy_downgrades += 1;
         self.degraded = true;
-        if let Some(p) = self.pending.take() {
-            self.dd.dec_ref_mat(p);
-        }
-        self.pending_gates = 0;
-        self.pending_single = None;
         let script = std::mem::take(&mut self.pending_ops);
+        self.abandon_pending();
         for g in &script {
             self.apply_gate_now(g)?;
         }
@@ -846,8 +843,7 @@ impl Simulator {
     }
 
     fn process_repeat(&mut self, body: &[Operation], times: u32) -> Result<(), SimError> {
-        let reuse = matches!(self.effective_strategy(), Strategy::DdRepeating { .. });
-        if reuse {
+        if self.effective_strategy().reuses_blocks() {
             if let Some(block) = self.combine_unitary_block(body)? {
                 // Reordering is blocked while the block may be re-applied —
                 // a sift underneath it would silently retarget its gates.
@@ -912,75 +908,21 @@ impl Simulator {
     /// the returned edge holds one reference the caller must release with
     /// `dec_ref_mat`.
     fn combine_unitary_block(&mut self, ops: &[Operation]) -> Result<Option<MatEdge>, SimError> {
-        let before = self.dd.stats();
-        let mut product = self.dd.mat_identity(self.n);
-        self.dd.inc_ref_mat(product);
-        let fold = |sim: &mut Self, product: &mut MatEdge, m: MatEdge| -> Result<(), SimError> {
-            // Pin the fresh operand across possible emergency collections.
-            sim.dd.inc_ref_mat(m);
-            let prev = *product;
-            let next = sim.recover(|sim| sim.dd.mat_mat_mul(m, prev));
-            sim.dd.dec_ref_mat(m);
-            let next = next?;
-            sim.dd.inc_ref_mat(next);
-            sim.dd.dec_ref_mat(prev);
-            *product = next;
-            Ok(())
-        };
-        let mut build = || -> Result<Option<()>, SimError> {
-            for op in ops {
-                match op {
-                    Operation::Gate(g) => {
-                        let m = self.gate_matrix(g);
-                        fold(self, &mut product, m)?;
-                    }
-                    Operation::Swap { a, b, controls } => {
-                        for g in lower_swap(*a, *b, controls) {
-                            let m = self.gate_matrix(&g);
-                            fold(self, &mut product, m)?;
-                        }
-                    }
-                    Operation::Barrier => {}
-                    Operation::Repeat { body, times } => {
-                        let Some(inner) = self.combine_unitary_block(body)? else {
-                            return Ok(None);
-                        };
-                        self.dd.inc_ref_mat(inner);
-                        let mut iterate = || -> Result<(), SimError> {
-                            for _ in 0..*times {
-                                fold(self, &mut product, inner)?;
-                            }
-                            Ok(())
-                        };
-                        let r = iterate();
-                        self.dd.dec_ref_mat(inner);
-                        r?;
-                    }
-                    Operation::Measure { .. }
-                    | Operation::Reset { .. }
-                    | Operation::Classical { .. } => return Ok(None),
-                }
-            }
-            Ok(Some(()))
-        };
-        let outcome = build();
-        let after = self.dd.stats();
-        self.stats.absorb_dd_delta(before, after);
+        let (product, outcome) = self.counted(|sim| {
+            let mut product = sim.dd.mat_identity(sim.n);
+            sim.dd.inc_ref_mat(product);
+            let outcome = sim.fold_block(ops, &mut product);
+            (product, outcome)
+        });
         match outcome {
-            Ok(Some(())) => {
+            Ok(true) => {
                 let nodes = self.dd.mat_node_count(product);
-                if nodes > self.stats.peak_matrix_nodes {
-                    self.stats.peak_matrix_nodes = nodes;
-                }
+                self.note_product(nodes);
                 Ok(Some(product))
             }
-            Ok(None) => {
-                self.dd.dec_ref_mat(product);
-                Ok(None)
-            }
-            Err(SimError::BudgetExceeded { .. }) => {
-                // The product itself does not fit: fall back to sequential
-                // expansion of the block.
+            // Not unitary, or the product itself does not fit: the caller
+            // expands the block.
+            Ok(false) | Err(SimError::BudgetExceeded { .. }) => {
                 self.dd.dec_ref_mat(product);
                 Ok(None)
             }
@@ -991,21 +933,77 @@ impl Simulator {
         }
     }
 
+    /// Folds `ops` into `product`; `false` when an operation is not unitary.
+    fn fold_block(&mut self, ops: &[Operation], product: &mut MatEdge) -> Result<bool, SimError> {
+        for op in ops {
+            let gates = match op {
+                Operation::Gate(g) => vec![g.clone()],
+                Operation::Swap { a, b, controls } => lower_swap(*a, *b, controls),
+                Operation::Barrier => Vec::new(),
+                Operation::Repeat { body, times } => {
+                    let Some(inner) = self.combine_unitary_block(body)? else {
+                        return Ok(false);
+                    };
+                    let folded = (0..*times).try_for_each(|_| self.fold(inner, product));
+                    self.dd.dec_ref_mat(inner);
+                    folded?;
+                    continue;
+                }
+                Operation::Measure { .. }
+                | Operation::Reset { .. }
+                | Operation::Classical { .. } => return Ok(false),
+            };
+            for g in &gates {
+                let m = self.gate_matrix(g);
+                self.fold(m, product)?;
+            }
+        }
+        Ok(true)
+    }
+
     // ------------------------------------------------------------------
     // Combining core
     // ------------------------------------------------------------------
 
-    fn gate_matrix(&mut self, g: &GateOp) -> MatEdge {
+    /// Runs `f` and folds the DD counters it moved into the run's stats.
+    fn counted<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
         let before = self.dd.stats();
-        let m = self
-            .dd
-            .mat_controlled(self.n, &g.controls, g.target, g.gate.matrix());
+        let out = f(self);
         let after = self.dd.stats();
+        self.stats.absorb_dd_delta(before, after);
+        out
+    }
+
+    fn gate_matrix(&mut self, g: &GateOp) -> MatEdge {
         // Gate construction may perform one small matrix addition; its
         // recursions are bookkeeping, not simulation cost, but the counters
         // must stay consistent.
-        self.stats.absorb_dd_delta(before, after);
-        m
+        self.counted(|sim| {
+            sim.dd
+                .mat_controlled(sim.n, &g.controls, g.target, g.gate.matrix())
+        })
+    }
+
+    /// `*product ← m · *product` under ladder rungs 1–2, moving the
+    /// product's reference to the result; on error `*product` keeps it.
+    /// `m` is pinned across the ladder's emergency collections.
+    fn fold(&mut self, m: MatEdge, product: &mut MatEdge) -> Result<(), SimError> {
+        let prev = *product;
+        self.dd.inc_ref_mat(m);
+        let next = self.recover(|sim| sim.dd.mat_mat_mul(m, prev));
+        self.dd.dec_ref_mat(m);
+        let next = next?;
+        self.dd.inc_ref_mat(next);
+        self.dd.dec_ref_mat(prev);
+        *product = next;
+        Ok(())
+    }
+
+    /// Records the node count of a product the engine measured — by the
+    /// flush rule, at a multi-gate flush, for a repeating block, or for the
+    /// trace. The only writer of `peak_matrix_nodes`.
+    fn note_product(&mut self, nodes: usize) {
+        self.stats.peak_matrix_nodes = self.stats.peak_matrix_nodes.max(nodes);
     }
 
     /// Whether gate application may bypass matrix construction and go
@@ -1025,49 +1023,34 @@ impl Simulator {
         }
     }
 
-    /// Feeds one elementary gate into the strategy.
+    /// Feeds one elementary gate into the strategy: apply it now, or fold
+    /// it into the pending product and ask the flush rule whether to apply
+    /// the product.
     fn feed_gate(&mut self, g: &GateOp) -> Result<(), SimError> {
         self.stats.elementary_gates += 1;
-        match self.effective_strategy() {
-            Strategy::Sequential => self.apply_gate_now(g),
-            Strategy::KOperations { k } | Strategy::DdRepeating { k } if k <= 1 => {
-                self.apply_gate_now(g)
-            }
-            Strategy::KOperations { k } | Strategy::DdRepeating { k } => {
-                self.accumulate_gate(g)?;
-                if self.pending_gates >= k as u64 {
-                    self.flush()?;
-                }
-                Ok(())
-            }
-            Strategy::MaxSize { s_max } => {
-                self.accumulate_gate(g)?;
-                let nodes = self.pending.map(|p| self.dd.mat_node_count(p)).unwrap_or(0);
-                if nodes > self.stats.peak_matrix_nodes {
-                    self.stats.peak_matrix_nodes = nodes;
-                }
-                if nodes > s_max {
-                    self.flush()?;
-                }
-                Ok(())
-            }
-            Strategy::Adaptive { ratio_millis, cap } => {
-                self.accumulate_gate(g)?;
-                let nodes = self.pending.map(|p| self.dd.mat_node_count(p)).unwrap_or(0);
-                if nodes > self.stats.peak_matrix_nodes {
-                    self.stats.peak_matrix_nodes = nodes;
-                }
-                // Section III's condition: combining pays while the product
-                // DD stays small relative to the state DD it would
-                // otherwise be multiplied into repeatedly.
-                let budget =
-                    (self.cached_state_nodes as u64).saturating_mul(u64::from(ratio_millis)) / 1000;
-                if nodes as u64 > budget.max(4) || nodes > cap {
-                    self.flush()?;
-                }
-                Ok(())
-            }
+        let strategy = self.effective_strategy();
+        if strategy.gate_at_a_time() {
+            return self.apply_gate_now(g);
         }
+        self.accumulate_gate(g)?;
+        // Rung 3 inside `accumulate_gate` replays and drops the group.
+        let Some(product) = self.pending else {
+            return Ok(());
+        };
+        let mut measured = None;
+        let (dd, state, state_nodes) = (&self.dd, self.state, &mut self.cached_state_nodes);
+        let flush = strategy.flush_now(
+            self.pending_gates,
+            || *measured.insert(dd.mat_node_count(product)),
+            || *state_nodes.get_or_insert_with(|| dd.vec_node_count(state)),
+        );
+        if let Some(nodes) = measured {
+            self.note_product(nodes);
+        }
+        if flush {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Builds the gate's matrix DD and folds it into the pending product,
@@ -1075,43 +1058,25 @@ impl Simulator {
     /// budget exhaustion (rungs 1–2 spent) takes rung 3: the recorded
     /// group — including this gate — replays sequentially.
     fn accumulate_gate(&mut self, g: &GateOp) -> Result<(), SimError> {
-        self.pending_single = if self.pending.is_none() {
-            Some(g.clone())
-        } else {
-            None
-        };
+        self.pending_single = self.pending.is_none().then(|| g.clone());
         self.pending_ops.push(g.clone());
         let m = self.gate_matrix(g);
-        match self.accumulate(m) {
-            Ok(()) => Ok(()),
+        let folded = match self.pending {
+            None => {
+                self.dd.inc_ref_mat(m);
+                Ok(m)
+            }
+            Some(mut p) => self.counted(|sim| sim.fold(m, &mut p)).map(|()| p),
+        };
+        match folded {
+            Ok(p) => {
+                self.pending = Some(p);
+                self.pending_gates += 1;
+                Ok(())
+            }
             Err(SimError::BudgetExceeded { .. }) => self.degrade_and_replay(),
             Err(e) => Err(e),
         }
-    }
-
-    fn accumulate(&mut self, m: MatEdge) -> Result<(), SimError> {
-        let before = self.dd.stats();
-        let folded = match self.pending {
-            None => Ok(m),
-            Some(p) => {
-                // Pin the fresh gate matrix: the ladder's emergency GC runs
-                // between retries and must not reclaim an operand.
-                self.dd.inc_ref_mat(m);
-                let r = self.recover(|sim| sim.dd.mat_mat_mul(m, p));
-                self.dd.dec_ref_mat(m);
-                r
-            }
-        };
-        let after = self.dd.stats();
-        self.stats.absorb_dd_delta(before, after);
-        let next = folded?;
-        if let Some(p) = self.pending.take() {
-            self.dd.dec_ref_mat(p);
-        }
-        self.dd.inc_ref_mat(next);
-        self.pending = Some(next);
-        self.pending_gates += 1;
-        Ok(())
     }
 
     /// Applies any accumulated product to the state; on budget exhaustion
@@ -1122,8 +1087,7 @@ impl Simulator {
             self.pending_ops.clear();
             return Ok(());
         };
-        let gates = self.pending_gates;
-        self.pending_gates = 0;
+        let gates = std::mem::take(&mut self.pending_gates);
         if gates == 1 && self.use_specialized() {
             if let Some(g) = single {
                 // A one-gate group gains nothing from the matrix DD:
@@ -1133,11 +1097,9 @@ impl Simulator {
                 return self.apply_gate_now(&g);
             }
         }
-        if self.options.collect_trace || matches!(self.options.strategy, Strategy::MaxSize { .. }) {
+        if gates > 1 {
             let nodes = self.dd.mat_node_count(p);
-            if nodes > self.stats.peak_matrix_nodes {
-                self.stats.peak_matrix_nodes = nodes;
-            }
+            self.note_product(nodes);
         }
         match self.apply_now(p, gates) {
             Ok(()) => {
@@ -1187,11 +1149,7 @@ impl Simulator {
                 sim.dd.apply_controlled(&g.controls, g.target, u, sim.state)
             }
         };
-        let before = self.dd.stats();
-        let next = self.recover(apply);
-        let after = self.dd.stats();
-        self.stats.absorb_dd_delta(before, after);
-        let next = match next {
+        let next = match self.counted(|sim| sim.recover(apply)) {
             Err(SimError::BudgetExceeded { .. }) if self.can_sift() => {
                 // Ladder sift rung: rungs 1–2 could not fit the
                 // application, so shrink the *state* by reordering and give
@@ -1200,22 +1158,11 @@ impl Simulator {
                 // reaches this rung per replayed gate, so combining runs
                 // benefit too.
                 self.sift_now(true);
-                let before = self.dd.stats();
-                let retried = self.recover(apply);
-                let after = self.dd.stats();
-                self.stats.absorb_dd_delta(before, after);
-                retried
+                self.counted(|sim| sim.recover(apply))
             }
             other => other,
         };
-        let next = next?;
-        self.dd.inc_ref_vec(next);
-        self.dd.dec_ref_vec(self.state);
-        self.state = next;
-        if matches!(self.options.strategy, Strategy::Adaptive { .. }) {
-            self.cached_state_nodes = self.dd.vec_node_count(self.state);
-        }
-        self.collect_if_needed();
+        self.replace_state(next?);
         self.maybe_sift_for_growth();
         Ok(())
     }
@@ -1224,26 +1171,15 @@ impl Simulator {
     /// `m` ref-pinned (the ladder may collect between retries). Runs under
     /// ladder rungs 1–2; rung 3 is the caller's.
     fn apply_now(&mut self, m: MatEdge, combined_gates: u64) -> Result<(), SimError> {
-        let before = self.dd.stats();
-        let next = self.recover(|sim| sim.dd.mat_vec_mul(m, sim.state));
-        let after = self.dd.stats();
-        self.stats.absorb_dd_delta(before, after);
-        let next = next?;
-        self.dd.inc_ref_vec(next);
-        self.dd.dec_ref_vec(self.state);
-        self.state = next;
-        if matches!(self.options.strategy, Strategy::Adaptive { .. }) {
-            self.cached_state_nodes = self.dd.vec_node_count(self.state);
-        }
+        let next = self.counted(|sim| sim.recover(|sim| sim.dd.mat_vec_mul(m, sim.state)))?;
+        self.replace_state(next);
         if self.options.collect_trace {
             let matrix_nodes = self.dd.mat_node_count(m);
             let state_nodes = self.dd.vec_node_count(self.state);
             if state_nodes > self.stats.peak_state_nodes {
                 self.stats.peak_state_nodes = state_nodes;
             }
-            if matrix_nodes > self.stats.peak_matrix_nodes {
-                self.stats.peak_matrix_nodes = matrix_nodes;
-            }
+            self.note_product(matrix_nodes);
             self.stats.trace.push(StepTrace {
                 gate_index: self.stats.elementary_gates,
                 combined_gates,
@@ -1251,24 +1187,24 @@ impl Simulator {
                 state_nodes,
             });
         }
-        self.collect_if_needed();
         Ok(())
     }
 
     fn measure(&mut self, qubit: u32) -> bool {
         let draw = self.rng.gen::<f64>();
         let (outcome, collapsed) = self.dd.measure_qubit(self.state, qubit, draw);
-        self.dd.inc_ref_vec(collapsed);
-        self.dd.dec_ref_vec(self.state);
-        self.state = collapsed;
-        if matches!(self.options.strategy, Strategy::Adaptive { .. }) {
-            // Keep the adaptive ratio's reference point in sync with every
-            // state change — a checkpoint/resume must observe the same
-            // value an uninterrupted run would.
-            self.cached_state_nodes = self.dd.vec_node_count(self.state);
-        }
-        self.collect_if_needed();
+        self.replace_state(collapsed);
         outcome
+    }
+
+    /// Moves the simulator's pin from the state to `next`, marks the flush
+    /// rule's state size stale, and gives the collector its chance.
+    fn replace_state(&mut self, next: VecEdge) {
+        self.dd.inc_ref_vec(next);
+        self.dd.dec_ref_vec(self.state);
+        self.state = next;
+        self.cached_state_nodes = None;
+        self.collect_if_needed();
     }
 
     fn collect_if_needed(&mut self) {

@@ -322,6 +322,53 @@ fn adaptive_respects_absolute_cap() {
 }
 
 #[test]
+fn k_operations_report_the_largest_product_they_applied() {
+    // Every multi-gate flush notes its product's size, so k-operations
+    // reports a peak even though its rule never measures a product. The
+    // traced run applies the same products and lists each one's size.
+    let c = grover_circuit(GroverInstance::new(10, 3));
+    let strategy = Strategy::KOperations { k: 8 };
+    let (_, stats) = simulate(&c, SimOptions::with_strategy(strategy)).expect("run");
+    let traced = SimOptions {
+        collect_trace: true,
+        ..SimOptions::with_strategy(strategy)
+    };
+    let (_, traced) = simulate(&c, traced).expect("traced run");
+    let largest = traced
+        .trace
+        .iter()
+        .filter(|t| t.combined_gates > 1)
+        .map(|t| t.matrix_nodes)
+        .max()
+        .expect("k-operations applies multi-gate products");
+    assert!(stats.peak_matrix_nodes > 0);
+    assert_eq!(stats.peak_matrix_nodes, largest);
+}
+
+#[test]
+fn nested_repeat_blocks_release_their_products() {
+    // DD-repeating combines the inner block, folds it into the outer one
+    // and must then release it. With a collection after every state
+    // change, a one-gate follow-up run leaves only the pinned identity
+    // cache (one node per qubit) among the matrix nodes.
+    let n = 3;
+    let mut inner = Circuit::new(n);
+    inner.h(0).cx(0, 1).t(2);
+    let mut outer = Circuit::new(n);
+    outer.repeat(&inner, 2).cx(1, 2);
+    let mut c = Circuit::new(n);
+    c.repeat(&outer, 3);
+    let mut options = SimOptions::with_strategy(Strategy::DdRepeating { k: 4 });
+    options.dd_config.gc_threshold = 0;
+    let mut sim = Simulator::with_options(n, options);
+    sim.run(&c).expect("run");
+    let mut follow_up = Circuit::new(n);
+    follow_up.h(0);
+    sim.run(&follow_up).expect("follow-up run");
+    assert_eq!(sim.dd().live_mat_nodes(), n as usize);
+}
+
+#[test]
 fn sample_counts_match_distribution() {
     let mut c = Circuit::new(2);
     c.h(0).cx(0, 1); // Bell: only 00 and 11

@@ -71,9 +71,11 @@ impl DdManager {
     /// building a matrix DD, descending the state directly and skipping
     /// every identity level.
     ///
-    /// Bit-identical to `mat_vec_mul(mat_single_qubit(n, target, u), state)`
-    /// (hash-consing and weight interning canonicalize both paths to the
-    /// same edges). Falls back to exactly that generic path when
+    /// Agrees with `mat_vec_mul(mat_single_qubit(n, target, u), state)` to
+    /// within 1e-10 per amplitude, not bitwise: the two paths associate
+    /// the scalar products differently, so weights can intern to different
+    /// representatives and the final DDs can differ in node count. Falls
+    /// back to exactly that generic path when
     /// [`DdConfig::identity_skip`](crate::DdConfig) is disabled.
     ///
     /// # Panics
@@ -94,9 +96,10 @@ impl DdManager {
     /// branch; controls below are handled by a projection recursion over
     /// the target's sub-states.
     ///
-    /// Bit-identical to the generic `mat_controlled` + `mat_vec_mul` path;
-    /// falls back to it when [`DdConfig::identity_skip`](crate::DdConfig)
-    /// is disabled.
+    /// Agrees with the generic `mat_controlled` + `mat_vec_mul` path to
+    /// within 1e-10 per amplitude, not bitwise (see
+    /// [`apply_single_qubit`](Self::apply_single_qubit)); falls back to it
+    /// when [`DdConfig::identity_skip`](crate::DdConfig) is disabled.
     ///
     /// # Panics
     ///

@@ -6,11 +6,10 @@
 //! built *directly* from a permutation function or a sparse entry list — the
 //! primitive behind the paper's *DD-construct* strategy.
 
-use std::collections::HashSet;
-
 use ddsim_complex::{Complex, ComplexId};
 
 use crate::edge::{Level, MatEdge, NodeId};
+use crate::hash::FxHashSet;
 use crate::manager::DdManager;
 
 /// A dense 2x2 unitary, row-major: `[[m00, m01], [m10, m11]]`.
@@ -496,12 +495,12 @@ impl DdManager {
     /// This is the paper's "size of the DD" for matrices, and the quantity
     /// the *max-size* strategy bounds with `s_max`.
     pub fn mat_node_count(&self, e: MatEdge) -> usize {
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         self.count_mat_rec(e.node, &mut seen);
         seen.len()
     }
 
-    fn count_mat_rec(&self, node: NodeId, seen: &mut HashSet<NodeId>) {
+    fn count_mat_rec(&self, node: NodeId, seen: &mut FxHashSet<NodeId>) {
         if node.is_terminal() || !seen.insert(node) {
             return;
         }

@@ -1,10 +1,11 @@
 //! Construction and inspection of vector decision diagrams (quantum states).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ddsim_complex::{Complex, ComplexId};
 
 use crate::edge::{Level, NodeId, VecEdge};
+use crate::hash::FxHashSet;
 use crate::manager::DdManager;
 
 impl DdManager {
@@ -260,12 +261,12 @@ impl DdManager {
     ///
     /// This is the paper's "size of the DD" for vectors.
     pub fn vec_node_count(&self, e: VecEdge) -> usize {
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         self.count_vec_rec(e.node, &mut seen);
         seen.len()
     }
 
-    fn count_vec_rec(&self, node: NodeId, seen: &mut HashSet<NodeId>) {
+    fn count_vec_rec(&self, node: NodeId, seen: &mut FxHashSet<NodeId>) {
         if node.is_terminal() || !seen.insert(node) {
             return;
         }

@@ -98,18 +98,6 @@ impl JobOptions {
         Ok(o)
     }
 
-    /// The compact `key=value` rendering, inverse of [`parse`](Self::parse)
-    /// (used by the journal).
-    pub fn strategy_spec(&self) -> String {
-        match self.strategy {
-            Strategy::Sequential => "sequential".into(),
-            Strategy::KOperations { k } => format!("kops:{k}"),
-            Strategy::MaxSize { s_max } => format!("maxsize:{s_max}"),
-            Strategy::DdRepeating { k } => format!("ddrepeating:{k}"),
-            Strategy::Adaptive { .. } => "adaptive".into(),
-        }
-    }
-
     /// The fault spec's journal rendering (`-` when absent).
     pub fn fault_spec(&self) -> String {
         match self.fault {

@@ -114,7 +114,7 @@ impl JobRecord {
         out.push_str(&format!("attempt={}\n", self.attempt));
         out.push_str(&format!("seed={}\n", self.opts.seed));
         out.push_str(&format!("shots={}\n", self.opts.shots));
-        out.push_str(&format!("strategy={}\n", self.opts.strategy_spec()));
+        out.push_str(&format!("strategy={}\n", self.opts.strategy.spec()));
         out.push_str(&format!("max_nodes={}\n", self.opts.max_nodes));
         out.push_str(&format!("deadline_ms={}\n", self.opts.deadline_ms));
         out.push_str(&format!("ckpt_every={}\n", self.opts.ckpt_every));
